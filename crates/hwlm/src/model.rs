@@ -85,16 +85,27 @@ impl Distribution {
     }
 
     /// Mixes two distributions: `(1 - weight) * self + weight * other`.
+    ///
+    /// The mixed weights are summed and normalised in token order, so the
+    /// result is bit-for-bit the same on every call.
     pub fn mix(&self, other: &Distribution, weight: f64) -> Distribution {
         let weight = weight.clamp(0.0, 1.0);
-        let mut weights: std::collections::HashMap<TokenId, f64> = std::collections::HashMap::new();
-        for (t, p) in &self.entries {
-            *weights.entry(*t).or_insert(0.0) += (1.0 - weight) * p;
-        }
-        for (t, p) in &other.entries {
-            *weights.entry(*t).or_insert(0.0) += weight * p;
-        }
-        Distribution::from_weights(weights.into_iter().collect())
+        let mut weights: Vec<(TokenId, f64)> = self
+            .entries
+            .iter()
+            .map(|&(t, p)| (t, (1.0 - weight) * p))
+            .chain(other.entries.iter().map(|&(t, p)| (t, weight * p)))
+            .collect();
+        // Stable: each token adds `self`'s share before `other`'s.
+        weights.sort_by_key(|&(t, _)| t);
+        weights.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        Distribution::from_weights(weights)
     }
 
     /// Samples a token according to the distribution.
@@ -280,6 +291,23 @@ mod tests {
         let m = a.mix(&b, 0.25);
         assert!((m.probability(1) - 0.75).abs() < 1e-12);
         assert!((m.probability(2) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mixing_is_bit_identical_across_calls() {
+        // Many overlapping tokens with awkward weights, so the normalising
+        // sum rounds differently if it ever runs in another order.
+        let a = Distribution::from_weights((0..200).map(|t| (t, 1.0 / f64::from(t + 3))).collect());
+        let b = Distribution::from_weights(
+            (100..300)
+                .map(|t| (t, f64::from(t % 7 + 1) / 3.0))
+                .collect(),
+        );
+        let first = a.mix(&b, 0.7);
+        assert_eq!(first.entries().len(), 300);
+        for _ in 0..32 {
+            assert_eq!(a.mix(&b, 0.7), first);
+        }
     }
 
     #[test]

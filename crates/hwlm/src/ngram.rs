@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,11 +19,128 @@ use crate::tokenizer::{HdlTokenizer, TokenId};
 /// and per-token scores disagree on unseen events.)
 pub const UNSEEN_SCORE_FLOOR: f64 = 1e-9;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Extends an FNV-1a fingerprint by one token's little-endian bytes, so a
+/// window's fingerprint can be grown one token to the right at a time.
+fn extend_fingerprint(mut hash: u64, token: TokenId) -> u64 {
+    for byte in token.to_le_bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// FNV-1a fingerprint of a context window.
+fn context_fingerprint(context: &[TokenId]) -> u64 {
+    context
+        .iter()
+        .fold(FNV_OFFSET, |hash, &token| extend_fingerprint(hash, token))
+}
+
+/// Table hasher for fingerprint keys: a folded 64×64→128-bit multiply.
+///
+/// The keys are already FNV-1a fingerprints, but their low bits — the ones
+/// the table indexes by — are weak, so the key is not used as its own hash.
+/// Folding the high half of the product onto the low half spreads every key
+/// bit over the whole hash at the cost of one multiply, and unlike the
+/// default SipHash it is deterministic across runs.
+#[derive(Debug, Clone, Copy, Default)]
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    const MULTIPLIER: u64 = 0x2d35_8dcc_aa6c_78a5;
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::MULTIPLIER);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One context length's table: context fingerprint → counts.
+type FingerprintTable = HashMap<u64, ContextEntry, BuildHasherDefault<FoldHasher>>;
+
 /// Counts for one observed context.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+///
+/// Continuations are kept sorted by token, the smallest inline in `first`
+/// and the rest in `rest`. A context seen with a single continuation
+/// therefore allocates nothing, and equal counts have one representation
+/// whatever order they were observed in.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ContextEntry {
     total: u64,
-    next: HashMap<TokenId, u64>,
+    first: (TokenId, u64),
+    rest: Vec<(TokenId, u64)>,
+}
+
+impl ContextEntry {
+    fn new(token: TokenId, count: u64) -> Self {
+        Self {
+            total: count,
+            first: (token, count),
+            rest: Vec::new(),
+        }
+    }
+
+    /// Adds `count` observations of `token`.
+    fn add(&mut self, token: TokenId, count: u64) {
+        self.total += count;
+        if token == self.first.0 {
+            self.first.1 += count;
+        } else if token < self.first.0 {
+            let displaced = std::mem::replace(&mut self.first, (token, count));
+            self.rest.insert(0, displaced);
+        } else {
+            match self.rest.binary_search_by_key(&token, |&(t, _)| t) {
+                Ok(i) => self.rest[i].1 += count,
+                Err(i) => self.rest.insert(i, (token, count)),
+            }
+        }
+    }
+
+    /// How often `token` followed this context.
+    fn count(&self, token: TokenId) -> Option<u64> {
+        if token == self.first.0 {
+            return Some(self.first.1);
+        }
+        self.rest
+            .binary_search_by_key(&token, |&(t, _)| t)
+            .ok()
+            .map(|i| self.rest[i].1)
+    }
+
+    /// Every `(token, count)` continuation, in token order.
+    fn continuations(&self) -> impl Iterator<Item = (TokenId, u64)> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
+/// Adds `entry`'s counts to those of the context `fingerprint`.
+fn absorb(table: &mut FingerprintTable, fingerprint: u64, entry: ContextEntry) {
+    match table.entry(fingerprint) {
+        Entry::Occupied(slot) => {
+            let counts = slot.into_mut();
+            for (token, count) in entry.continuations() {
+                counts.add(token, count);
+            }
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(entry);
+        }
+    }
 }
 
 /// n-gram count tables for context lengths `0..order`.
@@ -33,28 +151,31 @@ struct ContextEntry {
 /// makes duplicated training spans get reproduced verbatim — the property the
 /// copyright benchmark measures.
 ///
-/// Contexts are stored by 64-bit fingerprint rather than by token sequence,
-/// which keeps high-order tables (the orders that give the model its
-/// long-range coherence) compact; fingerprint collisions are negligible at
-/// the corpus sizes involved.
+/// # Layout
+///
+/// There is one flat hash table per context length. It maps the context's
+/// 64-bit FNV-1a fingerprint to that context's total and its continuations.
+/// Storing fingerprints rather than token sequences keeps the high-order
+/// tables compact; those orders give the model its long-range coherence, and
+/// fingerprint collisions are negligible at the corpus sizes involved.
+///
+/// - The tables hash keys with a deterministic folded multiply, not SipHash.
+/// - A context's continuations are sorted by token. The smallest is stored
+///   inline, so single-continuation contexts own no heap allocation.
+/// - [`NgramCounts::observe_sequence`] visits each start position once. It
+///   grows one running fingerprint to the right, so a token costs O(order)
+///   hash steps rather than O(order²).
+/// - [`NgramCounts::merge`] folds the smaller table of each context length
+///   into the larger one, so merging into empty tables is a move.
+///
+/// Equal counts have one representation, so tables built from the same
+/// documents in any order or sharding compare equal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NgramCounts {
     order: usize,
-    tables: Vec<HashMap<u64, ContextEntry>>,
+    tables: Vec<FingerprintTable>,
     backoff: f64,
     trained_tokens: u64,
-}
-
-/// FNV-1a fingerprint of a context window.
-fn context_fingerprint(context: &[TokenId]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for token in context {
-        for byte in token.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 impl NgramCounts {
@@ -67,7 +188,7 @@ impl NgramCounts {
         assert!(order > 0, "n-gram order must be positive");
         Self {
             order,
-            tables: vec![HashMap::new(); order],
+            tables: vec![FingerprintTable::default(); order],
             backoff: 0.4,
             trained_tokens: 0,
         }
@@ -89,17 +210,18 @@ impl NgramCounts {
     }
 
     /// Accumulates counts from one token sequence.
+    ///
+    /// Every window `ids[pos - ctx_len..pos]` with `ctx_len < order` counts
+    /// one `ids[pos]`. Windows are visited by start position: the one
+    /// starting at `start` with length `ctx_len` is the previous window
+    /// extended by one token, so its fingerprint costs one hash step.
     pub fn observe_sequence(&mut self, ids: &[TokenId]) {
-        for (pos, &token) in ids.iter().enumerate() {
-            self.trained_tokens += 1;
-            for ctx_len in 0..self.order {
-                if pos < ctx_len {
-                    continue;
-                }
-                let fingerprint = context_fingerprint(&ids[pos - ctx_len..pos]);
-                let entry = self.tables[ctx_len].entry(fingerprint).or_default();
-                entry.total += 1;
-                *entry.next.entry(token).or_insert(0) += 1;
+        self.trained_tokens += ids.len() as u64;
+        for start in 0..ids.len() {
+            let mut fingerprint = FNV_OFFSET;
+            for (table, &token) in self.tables.iter_mut().zip(&ids[start..]) {
+                absorb(table, fingerprint, ContextEntry::new(token, 1));
+                fingerprint = extend_fingerprint(fingerprint, token);
             }
         }
     }
@@ -109,7 +231,9 @@ impl NgramCounts {
     ///
     /// Counts are summed per context fingerprint and continuation token, so
     /// folding per-shard counts in any grouping yields tables equal to the
-    /// serial fold over the concatenated shards.
+    /// serial fold over the concatenated shards. Each context length's
+    /// smaller table is folded into the larger, so merging into (or from)
+    /// empty tables moves them without touching an entry.
     ///
     /// # Panics
     ///
@@ -120,20 +244,12 @@ impl NgramCounts {
             "cannot merge n-gram counts of different orders"
         );
         self.trained_tokens += other.trained_tokens;
-        for (table, other_table) in self.tables.iter_mut().zip(other.tables) {
-            for (fingerprint, incoming) in other_table {
-                match table.entry(fingerprint) {
-                    Entry::Occupied(slot) => {
-                        let entry = slot.into_mut();
-                        entry.total += incoming.total;
-                        for (token, count) in incoming.next {
-                            *entry.next.entry(token).or_insert(0) += count;
-                        }
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(incoming);
-                    }
-                }
+        for (table, mut incoming) in self.tables.iter_mut().zip(other.tables) {
+            if table.len() < incoming.len() {
+                std::mem::swap(table, &mut incoming);
+            }
+            for (fingerprint, entry) in incoming {
+                absorb(table, fingerprint, entry);
             }
         }
     }
@@ -146,9 +262,8 @@ impl NgramCounts {
             let key = context_fingerprint(&context[context.len() - ctx_len..]);
             if let Some(entry) = self.tables[ctx_len].get(&key) {
                 let weights = entry
-                    .next
-                    .iter()
-                    .map(|(t, c)| (*t, *c as f64))
+                    .continuations()
+                    .map(|(t, c)| (t, c as f64))
                     .collect::<Vec<_>>();
                 return Distribution::from_weights(weights);
             }
@@ -164,8 +279,8 @@ impl NgramCounts {
         for ctx_len in (0..=max_ctx.min(context.len())).rev() {
             let key = context_fingerprint(&context[context.len() - ctx_len..]);
             if let Some(entry) = self.tables[ctx_len].get(&key) {
-                if let Some(count) = entry.next.get(&token) {
-                    return discount * (*count as f64) / (entry.total as f64);
+                if let Some(count) = entry.count(token) {
+                    return discount * (count as f64) / (entry.total as f64);
                 }
             }
             discount *= self.backoff;
@@ -318,7 +433,8 @@ mod tests {
     #[test]
     fn merging_into_empty_counts_is_identity() {
         let mut trained = NgramCounts::new(2);
-        trained.observe_sequence(&[7, 8, 9]);
+        // The context [7] is seen with 8 before the smaller 3.
+        trained.observe_sequence(&[7, 8, 9, 7, 3, 7, 8]);
         let mut empty = NgramCounts::new(2);
         empty.merge(trained.clone());
         assert_eq!(empty, trained);

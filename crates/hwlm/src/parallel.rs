@@ -1,12 +1,13 @@
 //! Deterministic parallel training and the shared seed-derivation scheme.
 //!
 //! Training is a shard-and-merge map-reduce, the same shape as the curation
-//! side's dedup shards: the corpus is split into contiguous document shards,
-//! each worker folds its shard into a private [`NgramCounts`], and the
-//! per-shard tables are merged in fixed shard order with
-//! [`NgramCounts::merge`]. Because every count is a sum of per-document
-//! contributions, the merged tables equal the serial fold for *any* worker
-//! count or shard split — property-tested in `tests/parallel_training.rs`.
+//! side's dedup shards: the corpus is split into size-balanced document
+//! shards ([`partition_by_size`]), each worker folds its shard into a
+//! private [`NgramCounts`], and the per-shard tables are merged in fixed
+//! shard order with [`NgramCounts::merge`]. Because every count is a sum of
+//! per-document contributions, the merged tables equal the serial fold for
+//! *any* worker count or shard split — property-tested in
+//! `tests/parallel_training.rs`.
 //!
 //! The module also hosts [`derive_seed`], the splitmix64-style mixer that the
 //! evaluation harnesses (`verilogeval`, `copyright-bench`) use to give every

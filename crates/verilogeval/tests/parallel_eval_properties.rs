@@ -6,7 +6,7 @@
 //! reordering the suite.
 
 use hwlm::parallel::ExecutionMode;
-use hwlm::{NgramModel, TrainConfig};
+use hwlm::{AdaptedModel, ContinualPretrainConfig, NgramModel, QuantizedModel, TrainConfig};
 use proptest::prelude::*;
 use verilogeval::{EvalConfig, ProblemSuite, Runner};
 
@@ -91,5 +91,39 @@ proptest! {
         reordered_rows.sort_by(|a, b| a.id.cmp(&b.id));
         prop_assert_eq!(base_rows, reordered_rows, "rotation changed a problem's result");
         prop_assert_eq!(base.pass_at_k_percent, reordered.pass_at_k_percent);
+    }
+}
+
+/// FreeV is an adapted model evaluated in 4-bit form. Its distributions mix
+/// base and adapter weights; if the mix summed in an order that differs
+/// between calls (a hash-map order, say), the rounding difference could
+/// flip a quantisation level. Evaluating one adapted model repeatedly in
+/// one process must give equal reports.
+#[test]
+fn evaluating_one_adapted_model_repeatedly_gives_equal_reports() {
+    let suite = ProblemSuite::verilog_eval_human();
+    let corpus: Vec<String> = suite
+        .problems()
+        .iter()
+        .map(|p| format!("{}{}\n", p.prompt(), p.golden_solution))
+        .chain(suite.problems().iter().map(|p| p.golden_solution.clone()))
+        .collect();
+    let tuned = AdaptedModel::continual_pretrain(
+        "freev",
+        model(&suite),
+        &corpus,
+        &ContinualPretrainConfig::default(),
+    );
+    let quantized = QuantizedModel::new(&tuned, 4);
+    let runner = Runner::new(
+        suite,
+        EvalConfig {
+            max_new_tokens: 200,
+            ..config(0xF5EE, 10, ExecutionMode::Serial)
+        },
+    );
+    let first = runner.evaluate(&quantized);
+    for _ in 0..3 {
+        assert_eq!(runner.evaluate(&quantized), first);
     }
 }
