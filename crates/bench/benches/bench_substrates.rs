@@ -7,7 +7,9 @@ use gh_sim::{DesignKind, SynthConfig, Synthesizer};
 use hwlm::{LanguageModel, NgramModel, SamplerConfig, TrainConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use textsim::{char_shingles, cosine_similarity, CodeTokenizer, LshIndex, LshParams, MinHasher};
+use textsim::{
+    char_shingles, cosine_similarity, CodeTokenizer, LshParams, MinHasher, ShardedLshIndex,
+};
 use verilog::{Parser, SyntaxChecker, TestVector, Testbench};
 
 fn sample_sources(count: usize) -> Vec<String> {
@@ -73,7 +75,7 @@ fn bench_textsim(c: &mut Criterion, sources: &[String]) {
     });
     group.bench_function("lsh_index_100_files", |b| {
         b.iter(|| {
-            let mut index = LshIndex::new(params);
+            let mut index = ShardedLshIndex::new(params);
             for (i, source) in sources.iter().enumerate() {
                 let signature = hasher.signature(&char_shingles(source, 8));
                 index.insert(i as u64, &signature);

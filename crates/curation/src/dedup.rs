@@ -14,6 +14,14 @@
 //! resolved against the persistent kept-index immediately, so the corpus
 //! never has to be buffered.
 //!
+//! The engine has one resolution path. The kept state — LSH buckets *and*
+//! kept shingle vectors — is always partitioned into the
+//! [`ShardedLshIndex`]'s shards (a kept document is homed to shard
+//! `slot % shards`), and every document walks its bands one shard at a
+//! time. Whether a shard can be off in a spill file is a residency policy on
+//! that path, not a second path: a fully resident engine is the spilling one
+//! with an unbounded budget.
+//!
 //! Two mechanisms bound the engine's cost by *policy* rather than corpus
 //! size:
 //!
@@ -26,17 +34,14 @@
 //!   is the dominant cost. The short-circuit is output-invariant: identical
 //!   content ⇒ identical shingle set ⇒ identical signature ⇒ the sequential
 //!   resolution reaches the very same verdict (pinned by the property
-//!   tests). Repeats are recognised by a 128-bit fingerprint plus length
-//!   ([`ContentFingerprint`]), so a false match is astronomically unlikely
-//!   rather than impossible.
-//! * **Per-shard spill-to-disk** ([`DedupSpillConfig`]): the kept state —
-//!   LSH buckets *and* kept shingle vectors — is partitioned into the
-//!   [`ShardedLshIndex`]'s shards (a kept document is homed to shard
-//!   `slot % shards`), and at most `resident_shards` of them are held in
-//!   memory; the rest live in per-shard spill files. Queries and insertions
-//!   walk bands one shard at a time, reloading on touch with
-//!   LRU-by-last-touch eviction, so peak kept-state residency tracks the
-//!   budget plus the batch in flight instead of the kept set — and the
+//!   tests). Repeats are recognised by a 128-bit fingerprint of the content
+//!   plus its length, so a false match is astronomically unlikely rather
+//!   than impossible.
+//! * **Per-shard spill-to-disk** ([`DedupSpillConfig`]): at most
+//!   `resident_shards` shards are held in memory; the rest live in per-shard
+//!   spill files. A shard is reloaded when a band or candidate touches it,
+//!   with LRU-by-last-touch eviction, so peak kept-state residency tracks
+//!   the budget plus the batch in flight instead of the kept set — and the
 //!   output stays byte-identical to the fully resident engine for any
 //!   shard count and any budget ≥ 1.
 
@@ -48,8 +53,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use gh_sim::ExtractedFile;
 use serde::{Deserialize, Serialize};
 use textsim::{
-    char_shingles, jaccard_similarity_sorted, read_u64_le, write_u64_le, CandidateScratch,
-    InsertOrMatch, LshParams, MinHasher, ShardedLshIndex, ShingleSet, Signature,
+    char_shingles, jaccard_similarity_sorted, read_u64_le, write_u64_le, BandSlot,
+    CandidateScratch, LshParams, MinHasher, ShardedLshIndex, ShingleSet, Signature,
     DEFAULT_LSH_SHARDS,
 };
 
@@ -367,16 +372,6 @@ enum ExactSeen {
 /// hashes.
 type KeptDoc = (usize, Vec<u64>);
 
-/// Where the kept shingle vectors live.
-#[derive(Debug)]
-enum KeptStore {
-    /// Fully resident, addressed by kept slot.
-    Flat(Vec<KeptDoc>),
-    /// Partitioned by home shard (`slot % shards`, position `slot / shards`);
-    /// `None` marks a shard spilled to disk alongside its LSH buckets.
-    Sharded(Vec<Option<Vec<KeptDoc>>>),
-}
-
 /// Spill bookkeeping: the LRU clock, residency accounting and file plumbing.
 #[derive(Debug)]
 struct SpillBook {
@@ -496,13 +491,17 @@ fn spill_shard(
 
 /// Makes `shard` resident, evicting least-recently-touched shards down to
 /// the budget first. The reload path is the "transparent reload on candidate
-/// hit": callers just touch the shard they are about to read.
+/// hit": callers just touch the shard they are about to read. Without a
+/// spill book every shard is always resident and this does nothing.
 fn ensure_resident(
     index: &mut ShardedLshIndex,
     kept_shards: &mut [Option<Vec<KeptDoc>>],
-    book: &mut SpillBook,
+    book: Option<&mut SpillBook>,
     shard: usize,
 ) -> io::Result<()> {
+    let Some(book) = book else {
+        return Ok(());
+    };
     book.clock += 1;
     book.last_touch[shard] = book.clock;
     if index.shard_is_resident(shard) {
@@ -526,12 +525,6 @@ fn ensure_resident(
     book.reloads += 1;
     book.peak_resident_shards = book.peak_resident_shards.max(index.resident_shard_count());
     Ok(())
-}
-
-/// The verdict of resolving one document against the kept set.
-enum Resolution {
-    Kept,
-    Duplicate { kept_input: usize, similarity: f64 },
 }
 
 /// The incremental MinHash/LSH de-duplication engine.
@@ -571,12 +564,18 @@ pub struct StreamingDeduplicator {
     config: DedupConfig,
     hasher: MinHasher,
     index: ShardedLshIndex,
-    kept: KeptStore,
+    /// Kept documents by home shard: kept slot `s` lives in shard
+    /// `s % shards` at position `s / shards`. `None` marks a shard spilled to
+    /// disk alongside its LSH buckets.
+    kept: Vec<Option<Vec<KeptDoc>>>,
     /// First-occurrence resolutions keyed by content fingerprint. Bounded by
     /// distinct contents seen at ~32 bytes each — three orders of magnitude
     /// lighter than the shingle sets it saves rebuilding.
     exact: HashMap<ContentFingerprint, ExactSeen>,
     scratch: CandidateScratch,
+    /// The band slots of the document being resolved, reused across
+    /// documents.
+    slots: Vec<BandSlot>,
     spill: Option<SpillBook>,
     seen: usize,
     kept_docs: usize,
@@ -603,25 +602,18 @@ impl StreamingDeduplicator {
         lsh_params: LshParams,
         spill: Option<&DedupSpillConfig>,
     ) -> io::Result<Self> {
-        let (index, kept, book) = match spill {
-            None => (
-                ShardedLshIndex::new(lsh_params),
-                KeptStore::Flat(Vec::new()),
-                None,
-            ),
-            Some(policy) => {
-                let mut book = SpillBook::new(policy)?;
-                let mut index = ShardedLshIndex::with_shards(lsh_params, policy.shards);
-                let mut shards: Vec<Option<Vec<KeptDoc>>> = vec![Some(Vec::new()); policy.shards];
-                // Trim the (empty) initial state down to the budget so peak
-                // residency respects it from the first document on.
-                for victim in policy.resident_shards..policy.shards {
-                    spill_shard(&mut index, &mut shards, &mut book, victim)?;
-                }
-                book.peak_resident_shards = index.resident_shard_count();
-                (index, KeptStore::Sharded(shards), Some(book))
+        let mut book = spill.map(SpillBook::new).transpose()?;
+        let shards = spill.map_or(DEFAULT_LSH_SHARDS, |policy| policy.shards);
+        let mut index = ShardedLshIndex::with_shards(lsh_params, shards);
+        let mut kept = vec![Some(Vec::new()); shards];
+        if let (Some(book), Some(policy)) = (&mut book, spill) {
+            // Trim the (empty) initial state down to the budget so peak
+            // residency respects it from the first document on.
+            for victim in policy.resident_shards..shards {
+                spill_shard(&mut index, &mut kept, book, victim)?;
             }
-        };
+            book.peak_resident_shards = index.resident_shard_count();
+        }
         Ok(Self {
             config,
             hasher,
@@ -629,6 +621,7 @@ impl StreamingDeduplicator {
             kept,
             exact: HashMap::new(),
             scratch: CandidateScratch::new(),
+            slots: Vec::new(),
             spill: book,
             seen: 0,
             kept_docs: 0,
@@ -656,31 +649,7 @@ impl StreamingDeduplicator {
 
     /// Current residency statistics.
     pub fn stats(&self) -> StreamingDedupStats {
-        let (
-            resident_shards,
-            peak_resident_shards,
-            resident_kept_hashes,
-            peak_resident_kept_hashes,
-            shard_spills,
-            shard_reloads,
-        ) = match &self.spill {
-            None => (
-                self.index.shard_count(),
-                self.index.shard_count(),
-                self.kept_hashes,
-                self.kept_hashes,
-                0,
-                0,
-            ),
-            Some(book) => (
-                self.index.resident_shard_count(),
-                book.peak_resident_shards,
-                book.resident_kept_hashes,
-                book.peak_resident_kept_hashes,
-                book.spills,
-                book.reloads,
-            ),
-        };
+        let book = self.spill.as_ref();
         StreamingDedupStats {
             pushed: self.seen,
             exact_hits: self.exact_hits,
@@ -688,12 +657,13 @@ impl StreamingDeduplicator {
             kept_hashes: self.kept_hashes,
             pushed_hashes: self.pushed_hashes,
             peak_batch_hashes: self.peak_batch_hashes,
-            resident_shards,
-            peak_resident_shards,
-            resident_kept_hashes,
-            peak_resident_kept_hashes,
-            shard_spills,
-            shard_reloads,
+            resident_shards: self.index.resident_shard_count(),
+            peak_resident_shards: book.map_or(self.index.shard_count(), |b| b.peak_resident_shards),
+            resident_kept_hashes: book.map_or(self.kept_hashes, |b| b.resident_kept_hashes),
+            peak_resident_kept_hashes: book
+                .map_or(self.kept_hashes, |b| b.peak_resident_kept_hashes),
+            shard_spills: book.map_or(0, |b| b.spills),
+            shard_reloads: book.map_or(0, |b| b.reloads),
         }
     }
 
@@ -817,7 +787,16 @@ impl StreamingDeduplicator {
         }
     }
 
-    /// The sequential first-occurrence-wins resolution of one document.
+    /// The sequential first-occurrence-wins resolution of one document — the
+    /// engine's only path against the kept set, resident or spilling.
+    ///
+    /// The document's band slots are hashed once and serve both the query
+    /// and, if it is kept, the insert. Bands are walked one shard at a time
+    /// (each shard made resident just before it is touched, a no-op without
+    /// a spill policy), candidates are verified in ascending kept-slot order
+    /// with exact Jaccard, and the first at or above the threshold wins. A
+    /// newly kept document takes the next kept slot and is homed to shard
+    /// `slot % shards`.
     fn resolve(
         &mut self,
         fingerprint: ContentFingerprint,
@@ -828,17 +807,26 @@ impl StreamingDeduplicator {
         let input_index = self.seen;
         self.seen += 1;
         let hashes: Vec<u64> = shingles.iter().collect();
-        let hash_count = hashes.len();
-        let resolution = if self.spill.is_some() {
-            self.resolve_sharded(input_index, hashes, &signature)?
-        } else {
-            self.resolve_flat(input_index, hashes, &signature)
-        };
-        match resolution {
-            Resolution::Duplicate {
-                kept_input,
-                similarity,
-            } => {
+        let shard_count = self.index.shard_count();
+        let index = &mut self.index;
+        let kept = &mut self.kept;
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.extend((0..index.params().bands).map(|band| index.band_slot(&signature, band)));
+        self.scratch.begin();
+        for &slot in slots.iter() {
+            ensure_resident(index, kept, self.spill.as_mut(), slot.shard())?;
+            index.collect_band(slot, &mut self.scratch);
+        }
+        self.scratch.finish();
+        for &candidate in self.scratch.candidates() {
+            let home = candidate as usize % shard_count;
+            ensure_resident(index, kept, self.spill.as_mut(), home)?;
+            let (kept_input, kept_hashes) =
+                &kept[home].as_ref().expect("just made resident")[candidate as usize / shard_count];
+            let similarity = jaccard_similarity_sorted(&hashes, kept_hashes);
+            if similarity >= self.config.similarity_threshold {
+                let kept_input = *kept_input;
                 outcome.removed.push((input_index, kept_input, similarity));
                 if self.config.exact_prededup {
                     self.exact.entry(fingerprint).or_insert(ExactSeen::Removed {
@@ -846,137 +834,38 @@ impl StreamingDeduplicator {
                         similarity,
                     });
                 }
+                return Ok(());
             }
-            Resolution::Kept => {
-                self.kept_docs += 1;
-                self.kept_hashes += hash_count;
-                outcome.kept.push(input_index);
-                if self.config.exact_prededup {
-                    self.exact.entry(fingerprint).or_insert(ExactSeen::Kept {
-                        kept_input: input_index,
-                    });
-                }
-            }
+        }
+        let kept_slot = self.kept_docs;
+        for &slot in slots.iter() {
+            ensure_resident(index, kept, self.spill.as_mut(), slot.shard())?;
+            index.insert_band(kept_slot as u64, slot);
+        }
+        index.commit_insert();
+        let home = kept_slot % shard_count;
+        ensure_resident(index, kept, self.spill.as_mut(), home)?;
+        let hash_count = hashes.len();
+        kept[home]
+            .as_mut()
+            .expect("just made resident")
+            .push((input_index, hashes));
+        if let Some(book) = &mut self.spill {
+            book.shard_kept_hashes[home] += hash_count;
+            book.resident_kept_hashes += hash_count;
+            book.peak_resident_kept_hashes = book
+                .peak_resident_kept_hashes
+                .max(book.resident_kept_hashes);
+        }
+        self.kept_docs += 1;
+        self.kept_hashes += hash_count;
+        outcome.kept.push(input_index);
+        if self.config.exact_prededup {
+            self.exact.entry(fingerprint).or_insert(ExactSeen::Kept {
+                kept_input: input_index,
+            });
         }
         Ok(())
-    }
-
-    /// Fully-resident resolution: one [`ShardedLshIndex::insert_or_match`]
-    /// call against the flat kept store.
-    fn resolve_flat(
-        &mut self,
-        input_index: usize,
-        hashes: Vec<u64>,
-        signature: &Signature,
-    ) -> Resolution {
-        let threshold = self.config.similarity_threshold;
-        let KeptStore::Flat(kept) = &self.kept else {
-            unreachable!("flat resolve with a sharded kept store");
-        };
-        let verdict = self.index.insert_or_match(
-            kept.len() as u64,
-            signature,
-            &mut self.scratch,
-            |candidate| {
-                let (_, kept_hashes) = &kept[candidate as usize];
-                let similarity = jaccard_similarity_sorted(&hashes, kept_hashes);
-                (similarity >= threshold).then_some(similarity)
-            },
-        );
-        match verdict {
-            InsertOrMatch::Matched(slot, similarity) => {
-                let KeptStore::Flat(kept) = &self.kept else {
-                    unreachable!();
-                };
-                Resolution::Duplicate {
-                    kept_input: kept[slot as usize].0,
-                    similarity,
-                }
-            }
-            InsertOrMatch::Inserted => {
-                let KeptStore::Flat(kept) = &mut self.kept else {
-                    unreachable!();
-                };
-                kept.push((input_index, hashes));
-                Resolution::Kept
-            }
-        }
-    }
-
-    /// Spill-aware resolution: walk bands one shard at a time (reloading on
-    /// touch), verify candidates in ascending slot order, and home a newly
-    /// kept document to shard `slot % shards`. Byte-identical to
-    /// [`Self::resolve_flat`] — same candidate set, same scan order, same
-    /// verdicts — for any shard count and any budget.
-    fn resolve_sharded(
-        &mut self,
-        input_index: usize,
-        hashes: Vec<u64>,
-        signature: &Signature,
-    ) -> io::Result<Resolution> {
-        let slot = self.kept_docs;
-        let bands = self.index.params().bands;
-        let shard_count = self.index.shard_count();
-        let threshold = self.config.similarity_threshold;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // The fallible body runs in a closure so the scratch buffer is
-        // restored on the error path too (the engine stays droppable).
-        let resolution = (|| {
-            let index = &mut self.index;
-            let KeptStore::Sharded(kept_shards) = &mut self.kept else {
-                unreachable!("sharded resolve with a flat kept store");
-            };
-            let book = self.spill.as_mut().expect("sharded resolve without spill");
-            scratch.begin();
-            for band in 0..bands {
-                let shard = index.shard_for_band(signature, band);
-                ensure_resident(index, kept_shards, book, shard)?;
-                index.collect_band(signature, band, &mut scratch);
-            }
-            scratch.finish();
-            let mut matched = None;
-            for &candidate in scratch.candidates() {
-                let home = candidate as usize % shard_count;
-                ensure_resident(index, kept_shards, book, home)?;
-                let (kept_input, kept_hashes) = &kept_shards[home]
-                    .as_ref()
-                    .expect("just made resident")[candidate as usize / shard_count];
-                let similarity = jaccard_similarity_sorted(&hashes, kept_hashes);
-                if similarity >= threshold {
-                    matched = Some(Resolution::Duplicate {
-                        kept_input: *kept_input,
-                        similarity,
-                    });
-                    break;
-                }
-            }
-            match matched {
-                Some(resolution) => Ok(resolution),
-                None => {
-                    for band in 0..bands {
-                        let shard = index.shard_for_band(signature, band);
-                        ensure_resident(index, kept_shards, book, shard)?;
-                        index.insert_band(slot as u64, signature, band);
-                    }
-                    index.commit_insert();
-                    let home = slot % shard_count;
-                    ensure_resident(index, kept_shards, book, home)?;
-                    let hash_count = hashes.len();
-                    kept_shards[home]
-                        .as_mut()
-                        .expect("just made resident")
-                        .push((input_index, hashes));
-                    book.shard_kept_hashes[home] += hash_count;
-                    book.resident_kept_hashes += hash_count;
-                    book.peak_resident_kept_hashes = book
-                        .peak_resident_kept_hashes
-                        .max(book.resident_kept_hashes);
-                    Ok(Resolution::Kept)
-                }
-            }
-        })();
-        self.scratch = scratch;
-        resolution
     }
 }
 
@@ -1324,6 +1213,114 @@ mod tests {
                 );
             }
             assert_eq!(stats.kept_docs, reference.kept.len());
+        }
+    }
+
+    /// Test-local flat reference: resolves documents in order against a
+    /// plain `Vec` of kept shingle sets through
+    /// [`ShardedLshIndex::candidates`] — no exact-hash table, no shard
+    /// homing, no spilling, no band-at-a-time walk.
+    fn flat_reference(config: DedupConfig, texts: &[String]) -> DedupOutcome {
+        let hasher = MinHasher::new(config.permutations, config.seed);
+        let params = LshParams::for_threshold(config.permutations, config.similarity_threshold);
+        let mut index = ShardedLshIndex::new(params);
+        let mut kept: Vec<(usize, ShingleSet)> = Vec::new();
+        let mut outcome = DedupOutcome::default();
+        for (input, text) in texts.iter().enumerate() {
+            let shingles = char_shingles(&verilog::strip_comments(text), config.shingle_size);
+            let signature = hasher.signature(&shingles);
+            let matched = index.candidates(&signature).into_iter().find_map(|slot| {
+                let (kept_input, kept_set) = &kept[slot as usize];
+                let similarity = textsim::jaccard_similarity(&shingles, kept_set);
+                (similarity >= config.similarity_threshold).then_some((*kept_input, similarity))
+            });
+            match matched {
+                Some((kept_input, similarity)) => {
+                    outcome.removed.push((input, kept_input, similarity))
+                }
+                None => {
+                    index.insert(kept.len() as u64, &signature);
+                    kept.push((input, shingles));
+                    outcome.kept.push(input);
+                }
+            }
+        }
+        outcome
+    }
+
+    #[test]
+    fn engine_matches_a_flat_reference_for_any_split_shard_count_and_budget() {
+        let docs = distinct_docs();
+        // Byte-identical forks, comment-only edits and small code edits, so
+        // both exact hits and Jaccard verdicts on either side of 0.85 occur.
+        let mut many: Vec<String> = (0..45)
+            .map(|i| {
+                let base = &docs[i % docs.len()];
+                match i % 5 {
+                    0 => base.clone(),
+                    1 => format!("// fork {i}\n{base}"),
+                    2 => format!("{base}\nmodule pad_{i}(input p{i}); endmodule"),
+                    3 => base.replace("endmodule", &format!("wire w{i}; endmodule")),
+                    _ => format!("module m{i}(input a{i}); assign y{i} = a{i} & {i}; endmodule"),
+                }
+            })
+            .collect();
+        // Families of n-line modules: 20 and 25 lines are both kept, while 21-
+        // 23 lines clear 0.85 against both, so the scan order picks the match.
+        let family = |f: usize, n: usize| {
+            let body: String = (0..n)
+                .map(|l| format!("  assign w{f}_{l} = in{f}_{l} ^ key{f}[{l}];\n"))
+                .collect();
+            format!("module fam{f}(input clk);\n{body}endmodule")
+        };
+        many.extend((0..3).flat_map(|f| [20, 25, 22, 21, 23].map(|n| family(f, n))));
+        for exact_prededup in [true, false] {
+            let config = DedupConfig {
+                exact_prededup,
+                ..Default::default()
+            };
+            let reference = flat_reference(config, &many);
+            assert!(reference.kept.len() > docs.len());
+            assert!(
+                reference
+                    .removed
+                    .iter()
+                    .any(|&(_, _, similarity)| similarity < 1.0),
+                "no near-duplicate (Jaccard < 1) removal exercised"
+            );
+            let dedup = Deduplicator::new(config);
+            let spills = [
+                None,
+                Some((1, 1)),
+                Some((4, 1)),
+                Some((7, 3)),
+                Some((16, 2)),
+            ];
+            for (spill, batch_size) in spills.into_iter().flat_map(|s| [1, 7, 60].map(|b| (s, b))) {
+                let mut stream = match spill {
+                    None => dedup.streaming(),
+                    Some((shards, resident_shards)) => dedup
+                        .streaming_with_spill(&DedupSpillConfig {
+                            shards,
+                            resident_shards,
+                            spill_dir: None,
+                        })
+                        .expect("spill engine opens"),
+                };
+                let mut merged = DedupOutcome::default();
+                for chunk in many.chunks(batch_size) {
+                    let outcome = stream
+                        .push_texts_with_mode(chunk, ExecutionMode::Parallel)
+                        .expect("push succeeds");
+                    merged.kept.extend(outcome.kept);
+                    merged.removed.extend(outcome.removed);
+                }
+                assert_eq!(
+                    merged, reference,
+                    "engine diverged from the flat reference (spill {spill:?}, batch {batch_size}, \
+                     exact_prededup {exact_prededup})"
+                );
+            }
         }
     }
 

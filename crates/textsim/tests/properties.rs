@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use textsim::{
     char_shingles, cosine_similarity, jaccard_similarity, jaccard_similarity_sorted, CodeTokenizer,
-    LshIndex, LshParams, MinHasher, TermVector, Tokenizer,
+    LshParams, MinHasher, ShardedLshIndex, TermVector, Tokenizer,
 };
 
 fn text_strategy() -> impl Strategy<Value = String> {
@@ -96,7 +96,7 @@ proptest! {
         prop_assume!(!a.trim().is_empty());
         let hasher = MinHasher::new(128, 31);
         let params = LshParams::for_threshold(128, 0.85);
-        let mut index = LshIndex::new(params);
+        let mut index = ShardedLshIndex::new(params);
         let sig = hasher.signature(&char_shingles(&a, 4));
         index.insert(42, &sig);
         prop_assert!(index.candidates(&sig).contains(&42));

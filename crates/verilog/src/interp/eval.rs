@@ -490,9 +490,8 @@ impl CompiledModule {
             }
             Expr::Slice { base, msb, lsb } => {
                 let name = self.ident_name(base)?;
-                let msb = self.eval_expr_id(msb, state)?.bits() as u32;
-                let lsb = self.eval_expr_id(lsb, state)?.bits() as u32;
-                Ok(ResolvedTarget::Range(name, msb.max(lsb), msb.min(lsb)))
+                let (msb, lsb, _) = self.slice_bounds(msb, lsb, state)?;
+                Ok(ResolvedTarget::Range(name, msb, lsb))
             }
             Expr::Concat(ref parts) => {
                 let mut resolved = Vec::new();
@@ -519,15 +518,15 @@ impl CompiledModule {
                     .width
             }
             Expr::Index { .. } => 1,
-            Expr::Slice { msb, lsb, .. } => {
-                let msb = self.eval_expr_id(msb, state)?.bits() as u32;
-                let lsb = self.eval_expr_id(lsb, state)?.bits() as u32;
-                msb.max(lsb) - msb.min(lsb) + 1
-            }
+            Expr::Slice { msb, lsb, .. } => self.slice_bounds(msb, lsb, state)?.2,
             Expr::Concat(ref parts) => {
-                let mut total = 0;
+                let mut total = 0u32;
                 for &p in parts {
-                    total += self.target_width(p, state)?;
+                    total = total
+                        .checked_add(self.target_width(p, state)?)
+                        .ok_or_else(|| {
+                            EvalError::WidthTooLarge(format!("concatenation in `{}`", self.name))
+                        })?;
                 }
                 total
             }
@@ -544,6 +543,24 @@ impl CompiledModule {
         let resolved = self.resolve_target(target, state)?;
         apply_resolved(state, resolved, value);
         Ok(())
+    }
+
+    /// Evaluates a part-select's bounds into `(msb, lsb, width)` with
+    /// `msb >= lsb`. A width that does not fit in a `u32` (`[-1:0]` reads as
+    /// `[0xFFFF_FFFF:0]`) is an [`EvalError::WidthTooLarge`].
+    fn slice_bounds(
+        &self,
+        msb: ExprId,
+        lsb: ExprId,
+        state: &EvalState,
+    ) -> Result<(u32, u32, u32), EvalError> {
+        let a = self.eval_expr_id(msb, state)?.bits() as u32;
+        let b = self.eval_expr_id(lsb, state)?.bits() as u32;
+        let (msb, lsb) = (a.max(b), a.min(b));
+        let width = (msb - lsb).checked_add(1).ok_or_else(|| {
+            EvalError::WidthTooLarge(format!("part-select [{msb}:{lsb}] in `{}`", self.name))
+        })?;
+        Ok((msb, lsb, width))
     }
 
     fn ident_name(&self, expr: ExprId) -> Result<String, EvalError> {
@@ -617,9 +634,8 @@ impl CompiledModule {
             }
             Expr::Slice { base, msb, lsb } => {
                 let base_value = self.eval_expr_id(base, state)?;
-                let msb = self.eval_expr_id(msb, state)?.bits() as u32;
-                let lsb = self.eval_expr_id(lsb, state)?.bits() as u32;
-                Ok(base_value.select_range(msb.max(lsb), msb.min(lsb)))
+                let (msb, lsb, _) = self.slice_bounds(msb, lsb, state)?;
+                Ok(base_value.select_range(msb, lsb))
             }
             Expr::Concat(ref parts) => {
                 let mut acc: Option<Value> = None;
@@ -717,7 +733,10 @@ fn apply_resolved(state: &mut EvalState, target: ResolvedTarget, value: Value) {
                 let slice = if width >= 64 {
                     value
                 } else {
-                    Value::new(value.bits() >> remaining, width.max(1))
+                    Value::new(
+                        value.bits().checked_shr(remaining).unwrap_or(0),
+                        width.max(1),
+                    )
                 };
                 apply_resolved(state, part, slice);
             }

@@ -106,15 +106,16 @@ impl Value {
         }
     }
 
-    /// Extracts the slice `[msb:lsb]` as a new value.
+    /// Extracts the slice `[msb:lsb]` as a new value of at most
+    /// [`Value::MAX_WIDTH`] bits; bits beyond the width read as zero.
     ///
     /// # Panics
     ///
     /// Panics if `msb < lsb`.
     pub fn select_range(&self, msb: u32, lsb: u32) -> Self {
         assert!(msb >= lsb, "part-select bounds reversed: [{msb}:{lsb}]");
-        let width = msb - lsb + 1;
-        Value::new(self.bits >> lsb, width.min(Self::MAX_WIDTH))
+        let width = (msb - lsb).saturating_add(1).min(Self::MAX_WIDTH);
+        Value::new(self.bits.checked_shr(lsb).unwrap_or(0), width)
     }
 
     /// Returns a copy of `self` with bit `index` set to the LSB of `bit`.
@@ -127,11 +128,18 @@ impl Value {
     }
 
     /// Returns a copy of `self` with the slice `[msb:lsb]` replaced by
-    /// `value` (truncated or zero-extended to the slice width).
+    /// `value` (truncated or zero-extended to the slice width); bits of the
+    /// slice beyond the width are not written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msb < lsb`.
     pub fn with_range(&self, msb: u32, lsb: u32, value: Value) -> Self {
         assert!(msb >= lsb, "part-select bounds reversed: [{msb}:{lsb}]");
-        let width = (msb - lsb + 1).min(Self::MAX_WIDTH);
-        let slice_mask = Self::mask(width) << lsb;
+        let width = (msb - lsb).saturating_add(1).min(Self::MAX_WIDTH);
+        let Some(slice_mask) = Self::mask(width).checked_shl(lsb) else {
+            return *self;
+        };
         let new_bits = (self.bits & !slice_mask) | ((value.bits & Self::mask(width)) << lsb);
         Value::new(new_bits, self.width)
     }

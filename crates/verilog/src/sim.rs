@@ -371,4 +371,35 @@ mod tests {
         );
         assert!(tb.passes(&accumulator).unwrap());
     }
+
+    /// Regression: part-selects whose bounds are reversed through a negative
+    /// constant (`[-1:0]` reads as `[0xFFFF_FFFF:0]`) or lie wholly above bit
+    /// 63 used to overflow a width or a shift — a panic in debug builds, and
+    /// in release a zero-width value panic or silently masked shift amounts.
+    /// Each must now simulate to `Ok` or a typed error, never a panic.
+    #[test]
+    fn hostile_part_selects_never_panic() {
+        let run = |src: &str| {
+            Simulator::new(&module(src)).and_then(|mut sim| {
+                sim.clock("clk")?;
+                sim.peek("y")
+            })
+        };
+        // The width `0xFFFF_FFFF - 0 + 1` overflows: a typed error.
+        for src in [
+            "module m(input clk, output [7:0] y); reg [7:0] r; assign y = r[-1:0]; endmodule",
+            "module m(input clk, output reg [7:0] y); always @(posedge clk) y[-1:0] <= 1; endmodule",
+            "module m(input clk, output reg [7:0] y, output reg z); \
+             always @(posedge clk) {y[-1:0], z} <= 1; endmodule",
+        ] {
+            assert!(matches!(run(src), Err(EvalError::WidthTooLarge(_))), "{src}");
+        }
+        // Slices wholly above bit 63 read zero and write nothing.
+        let read = "module m(input clk, output [7:0] y); reg [7:0] r; \
+                    initial r = 8'hFF; assign y = r[100:70]; endmodule";
+        assert_eq!(run(read), Ok(0));
+        let write = "module m(input clk, output reg [7:0] y); initial y = 8'h5A; \
+                     always @(posedge clk) y[100:70] <= 1; endmodule";
+        assert_eq!(run(write), Ok(0x5A));
+    }
 }
